@@ -7,7 +7,7 @@ GO ?= go
 # pass.
 COVER_FLOOR ?= 88.0
 
-.PHONY: all build test check cover chaos migrate bench scenario scenario-golden clean
+.PHONY: all build test check cover chaos migrate bench bench-gate scenario scenario-golden clean
 
 all: build
 
@@ -69,6 +69,24 @@ migrate:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=100x -benchmem .
 	$(GO) run ./cmd/apiary-bench -json BENCH_PR.json
+
+# bench-gate runs the host-performance benchmark (all four workloads) on
+# BASE, checked out into a temporary git worktree, and then on the working
+# tree, back to back on the same machine, and judges the pair with
+# `benchmark -compare`: it fails on any REGRESSED or DIFFERENT row.
+# Results files go under $(TMPDIR)/apiary-bench-gate, never benchmark/.
+#
+#	make bench-gate BASE=origin/main
+BASE ?= HEAD
+TMPDIR ?= /tmp
+GATE_DIR = $(TMPDIR)/apiary-bench-gate
+bench-gate:
+	@rm -rf $(GATE_DIR) && mkdir -p $(GATE_DIR) && git worktree prune
+	git worktree add --detach $(GATE_DIR)/base-tree $(BASE)
+	(cd $(GATE_DIR)/base-tree && $(GO) run ./benchmark -out $(GATE_DIR)/base -json $(GATE_DIR)/base.json); \
+		status=$$?; git worktree remove --force $(GATE_DIR)/base-tree; exit $$status
+	$(GO) run ./benchmark -out $(GATE_DIR)/head -json $(GATE_DIR)/head.json
+	$(GO) run ./benchmark -compare $(GATE_DIR)/base.json $(GATE_DIR)/head.json
 
 # scenario runs the open-loop load-harness gates the way CI's scenario job
 # does: the committed smoke scenario vs its golden fingerprint, the

@@ -88,8 +88,13 @@ type Accelerator interface {
 // Tick(p) would be a no-op: no pending work, no timed work becoming due, no
 // sends to retry. The shell combines this with its own queue state so the
 // engine can fast-forward across idle stretches (sim.IdleTicker).
-// Accelerators that generate work spontaneously (traffic sources) must
-// return false until they are permanently finished.
+// Accelerators that generate work spontaneously (traffic sources) may
+// report idle only as timed sources: each Tick schedules an engine wake at
+// or before the next cycle it has work, and the next Tick accounts for the
+// cycles the engine fast-forwarded meanwhile exactly as if it had been
+// ticked through them (load.Generator credits its rate accumulator from
+// sim.Engine.SkippedCycles). A source that cannot do that must return false
+// until it is permanently finished.
 type Idler interface {
 	Idle() bool
 }

@@ -52,16 +52,21 @@ type PhaseAgg struct {
 // client-visible stream.
 //
 // Generator is deliberately NOT marked accel.TileLocal, same as Requester:
-// it observes latency histograms and writes the board event log during
-// Tick. A board hosting a generator ticks serially; the NoC's sharded
-// commit structure still varies with the shard count, which is exactly
-// what the differential test exercises.
+// it observes latency histograms, writes the board event log and schedules
+// its engine wake during Tick. A board hosting a generator ticks serially;
+// the NoC's sharded commit structure still varies with the shard count,
+// which is exactly what the differential test exercises.
 //
 // Open-loop discipline: latency is measured from the scheduled arrival
 // cycle, and the generator never retransmits — a denial or timeout is a
 // client-visible outcome, not a reason to re-offer. A slow server
 // therefore cannot slow the question rate down (no coordinated omission).
+//
+// Generator is a timed source (see Idle): between arrivals it sleeps on an
+// engine wake instead of being ticked through dead cycles, so a board at a
+// sparse rate fast-forwards like an idle one.
 type Generator struct {
+	eng     *sim.Engine
 	scn     *Scenario
 	target  msg.ServiceID
 	timeout sim.Cycle
@@ -82,8 +87,21 @@ type Generator struct {
 	acc      uint64
 	seq      uint32
 	curPhase int
-	started  bool
 	lastNow  sim.Cycle
+
+	// Timed-source state. The offered rate is constant up to flatEnd at the
+	// per-cycle increment inc; nextArr caches the cycle the accumulator
+	// next crosses one arrival at that increment (0 = recompute). While
+	// armed, a wake is scheduled at or before the next cycle with work
+	// (wakeAt is the earliest one still pending) and the cycles the engine
+	// fast-forwards meanwhile are credited at armInc on the next Tick.
+	flatEnd  sim.Cycle
+	inc      uint64
+	nextArr  sim.Cycle
+	armed    bool
+	armInc   uint64
+	skipMark uint64 // engine SkippedCycles at the last Tick
+	wakeAt   sim.Cycle
 
 	pending   map[uint32]pend
 	deadlines []deadline
@@ -93,19 +111,20 @@ type Generator struct {
 	replayIdx int
 
 	phases   []PhaseAgg
-	sessHits []uint32 // per-session request count (the "session record")
+	sessSeen []uint64 // one bit per session that issued a request (the "session record")
+	touched  int      // bits set in sessSeen
 	weights  []int
 	totalW   int
 
 	arrC, okC, errC, shedC *sim.Counter
 }
 
-// NewGenerator builds the load source for scn, addressing target (the
-// scenario's service on a single board, the fleet proxy doorway on a
-// client board). share/shares split the offered rate and the session
-// population across pooled generators; seed must already be derived
-// per-generator by the caller.
-func NewGenerator(scn *Scenario, target msg.ServiceID, seed uint64, share, shares int) *Generator {
+// NewGenerator builds the load source for scn on the board driven by eng,
+// addressing target (the scenario's service on a single board, the fleet
+// proxy doorway on a client board). share/shares split the offered rate
+// and the session population across pooled generators; seed must already
+// be derived per-generator by the caller.
+func NewGenerator(eng *sim.Engine, scn *Scenario, target msg.ServiceID, seed uint64, share, shares int) *Generator {
 	if shares < 1 {
 		shares = 1
 	}
@@ -120,6 +139,7 @@ func NewGenerator(scn *Scenario, target msg.ServiceID, seed uint64, share, share
 		count = scn.Sessions - base // last share absorbs the remainder
 	}
 	g := &Generator{
+		eng:       eng,
 		scn:       scn,
 		target:    target,
 		timeout:   timeout,
@@ -130,7 +150,7 @@ func NewGenerator(scn *Scenario, target msg.ServiceID, seed uint64, share, share
 		Board:     -1,
 		rng:       sim.NewRNG(seed),
 		pending:   make(map[uint32]pend),
-		sessHits:  make([]uint32, count),
+		sessSeen:  make([]uint64, (count+63)/64),
 		totalW:    scn.TotalWeight(),
 	}
 	for _, c := range scn.Classes {
@@ -163,11 +183,15 @@ func (g *Generator) Name() string { return "loadgen" }
 // Contexts implements accel.Accelerator.
 func (g *Generator) Contexts() int { return 1 }
 
-// Reset implements accel.Accelerator.
+// Reset implements accel.Accelerator. It disarms the timed source, so
+// nothing fast-forwarded since the last Tick is credited: a tile that was
+// down accrues nothing. (The idle cycles before it went down are dropped
+// with the rest; the scenario harness never restarts a generator tile.)
 func (g *Generator) Reset() {
 	g.pending = make(map[uint32]pend)
 	g.deadlines = nil
 	g.backlog = nil
+	g.armed = false
 }
 
 // AttachStats implements accel.StatsUser: headline counters surface in
@@ -185,22 +209,54 @@ func (g *Generator) Done(now sim.Cycle) bool {
 		(g.replay == nil || g.replayIdx >= len(g.replay.Arrivals))
 }
 
-// Idle implements accel.Idler. The generator is a traffic source: never
-// idle while the scenario runs or completions are outstanding.
-func (g *Generator) Idle() bool {
-	return g.started && g.Done(g.lastNow)
-}
+// Idle implements accel.Idler under the timed-source contract: after each
+// Tick the generator works out the next cycle at which ticking it would do
+// anything (the next arrival, the next point the rate may change, the head
+// timeout, the next replayed arrival), schedules an engine wake there, and
+// reports idle until then. The cycles the engine fast-forwards meanwhile
+// are credited to the accumulator on the next Tick, so a run with idle-skip
+// is bit-identical to one that ticks the generator every cycle.
+func (g *Generator) Idle() bool { return g.armed }
 
-var _ accel.Idler = (*Generator)(nil)
+// Quiescent implements accel.Quiescer: idling between wakes is not
+// quiescence — the generator holds in-flight work until the scenario ended
+// and every arrival resolved.
+func (g *Generator) Quiescent() bool { return g.armed && g.Done(g.lastNow) }
+
+var (
+	_ accel.Idler    = (*Generator)(nil)
+	_ accel.Quiescer = (*Generator)(nil)
+)
+
+// wakeNop is the generator's engine wake: the event only ends the
+// fast-forward, the work happens in the Tick that follows.
+func wakeNop(sim.Cycle) {}
 
 // Tick implements accel.Accelerator.
 func (g *Generator) Tick(p accel.Port) {
 	now := p.Now()
+	skipped := g.eng.SkippedCycles()
+	d := skipped - g.skipMark
+	if g.armed {
+		// Credit the fast-forwarded cycles at the rate they would have
+		// accrued; none of them crossed an arrival (the wake is there).
+		g.acc += d * g.armInc
+		g.armed = false
+	}
+	if sim.Cycle(d) != now-g.lastNow-1 {
+		// Cycles neither ticked nor fast-forwarded (a hung tile accrues
+		// nothing): the next crossing moved.
+		g.nextArr = 0
+	}
+	g.skipMark = skipped
 	g.lastNow = now
-	g.started = true
 
-	// Phase tracking (boundaries land between ticks; observation only).
-	if now < g.end {
+	// Rate and phase tracking, refreshed only where the rate may change
+	// (phase boundaries land between ticks; the event is observation only).
+	if now < g.end && now >= g.flatEnd {
+		g.flatEnd = g.scn.FlatUntil(now)
+		g.inc = incQ32(g.scn.RateAt(now)) / g.shareInc
+		g.nextArr = 0
 		if pi, _ := g.scn.PhaseAt(now); pi != g.curPhase {
 			g.curPhase = pi
 			if g.Events != nil {
@@ -249,15 +305,19 @@ func (g *Generator) Tick(p accel.Port) {
 			g.admit(a)
 		}
 	} else if now < g.end {
-		g.acc += incQ32(g.scn.RateAt(now)) / g.shareInc
+		g.acc += g.inc
 		for g.acc >= 1<<rateQ {
 			g.acc -= 1 << rateQ
+			g.nextArr = 0
 			cls := g.drawClass()
 			sess := g.sessBase
 			if g.sessCount > 0 {
 				off := g.rng.Intn(g.sessCount)
 				sess += off
-				g.sessHits[off]++
+				if w, bit := &g.sessSeen[off/64], uint64(1)<<(off%64); *w&bit == 0 {
+					*w |= bit
+					g.touched++
+				}
 			}
 			a := Arrival{Seq: g.seq, Session: uint32(sess), Class: cls, At: now}
 			g.seq++
@@ -285,6 +345,44 @@ func (g *Generator) Tick(p accel.Port) {
 			pd := pend{arriveAt: a.At, class: a.Class, phase: uint8(pi)}
 			g.complete(a.Seq, OutcomeDenied, now, &pd)
 		}
+	}
+	g.arm(now)
+}
+
+// arm schedules the wake at the next cycle with work and marks the
+// generator idle until then. A backlog retries every cycle, and work due
+// next cycle needs no wake: both leave it busy. Only the division for a
+// fresh next-arrival cycle costs more than a few compares, and it runs
+// after an emission or a rate change, not per tick.
+func (g *Generator) arm(now sim.Cycle) {
+	if len(g.backlog) > 0 {
+		return
+	}
+	const never = ^sim.Cycle(0)
+	wake, inc := never, uint64(0)
+	if now < g.end {
+		wake = g.flatEnd
+		if g.replay == nil && g.inc > 0 {
+			inc = g.inc
+			if g.nextArr == 0 {
+				g.nextArr = now + sim.Cycle((1<<rateQ-g.acc+inc-1)/inc)
+			}
+			wake = min(wake, g.nextArr)
+		}
+	}
+	if g.replay != nil && g.replayIdx < len(g.replay.Arrivals) {
+		wake = min(wake, g.replay.Arrivals[g.replayIdx].At)
+	}
+	if len(g.pending) > 0 {
+		wake = min(wake, g.deadlines[0].at)
+	}
+	if wake <= now+1 {
+		return
+	}
+	g.armed, g.armInc = true, inc
+	if wake != never && (g.wakeAt <= now || wake < g.wakeAt) {
+		g.eng.ScheduleNoHandle(wake, wakeNop)
+		g.wakeAt = wake
 	}
 }
 
@@ -379,15 +477,7 @@ func (g *Generator) request(a Arrival) *msg.Message {
 
 // SessionsTouched counts distinct sessions that issued at least one
 // request.
-func (g *Generator) SessionsTouched() int {
-	n := 0
-	for _, c := range g.sessHits {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (g *Generator) SessionsTouched() int { return g.touched }
 
 // Phases exposes the per-phase aggregates (live; callers snapshot outside
 // the tick phase — at barriers, after Run steps, or holding the daemon's

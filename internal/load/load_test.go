@@ -155,6 +155,47 @@ func TestRateCurve(t *testing.T) {
 	}
 }
 
+// TestFlatUntil checks FlatUntil by brute force against RateAt over every
+// cycle of every phase: the rate holds on [t, FlatUntil(t)), and in a phase
+// without ramp or diurnal swing FlatUntil reaches the first real change or
+// the phase boundary, whichever comes first.
+func TestFlatUntil(t *testing.T) {
+	smoke, err := os.ReadFile(filepath.Join("testdata", "smoke.scn"))
+	if err != nil {
+		t.Fatalf("read smoke scenario: %v", err)
+	}
+	for _, text := range []string{diffScn, fleetScn, string(smoke)} {
+		scn := mustParse(t, text)
+		dur := scn.Dur()
+		// change[c] is the first cycle after c whose rate differs.
+		change := make([]sim.Cycle, dur+1)
+		change[dur] = dur + 1
+		for c := dur; c > 0; c-- {
+			if scn.RateAt(c-1) != scn.RateAt(c) {
+				change[c-1] = c
+			} else {
+				change[c-1] = change[c]
+			}
+		}
+		for c := sim.Cycle(0); c < dur; c++ {
+			got := scn.FlatUntil(c)
+			if got <= c || got > change[c] {
+				t.Fatalf("%s: FlatUntil(%d) = %d, rate first changes at %d", scn.Name, c, got, change[c])
+			}
+			pi, _ := scn.PhaseAt(c)
+			p := scn.Phases[pi]
+			if p.RateFrom == p.RateTo && p.Diurnal == nil {
+				if want := min(change[c], scn.NextBoundary(c)); got < want {
+					t.Fatalf("%s: FlatUntil(%d) = %d in a flat phase, want %d", scn.Name, c, got, want)
+				}
+			}
+		}
+		if got := scn.FlatUntil(dur); got != dur+1 {
+			t.Fatalf("%s: FlatUntil(end) = %d, want %d", scn.Name, got, dur+1)
+		}
+	}
+}
+
 // boardCfg is the single-board test system.
 func boardCfg(shards int) core.SystemConfig {
 	return core.SystemConfig{

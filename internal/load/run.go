@@ -90,7 +90,7 @@ func NewBoardRun(scn *Scenario, cfg core.SystemConfig) (*BoardRun, error) {
 	if _, err := sys.Kernel.LoadApp(backendSpec("scn-backend", scn.Target, scn.TgtMem)); err != nil {
 		return nil, err
 	}
-	gen := NewGenerator(scn, scn.Target, mixSeed(scn.Seed, 0), 0, 1)
+	gen := NewGenerator(sys.Engine, scn, scn.Target, mixSeed(scn.Seed, 0), 0, 1)
 	gen.Events = sys.Events
 	if _, err := sys.Kernel.LoadApp(core.AppSpec{
 		Name: "scn-load",
@@ -215,7 +215,7 @@ func NewFleetRun(scn *Scenario, cfg cluster.Config) (*FleetRun, error) {
 			fl.Close()
 			return nil, err
 		}
-		gen := NewGenerator(scn, scn.Target, mixSeed(scn.Seed, board), clients, fs.Clients)
+		gen := NewGenerator(fl.Board(board).Sys.Engine, scn, scn.Target, mixSeed(scn.Seed, board), clients, fs.Clients)
 		gen.Events = fl.Board(board).Sys.Events
 		gen.Board = board
 		if _, err := fl.Board(board).Sys.Kernel.LoadApp(core.AppSpec{

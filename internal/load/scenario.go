@@ -195,6 +195,33 @@ func (s *Scenario) RateAt(t sim.Cycle) uint64 {
 	return uint64(r)
 }
 
+// FlatUntil reports the first cycle after offset t at which RateAt may
+// differ from RateAt(t): the next phase boundary, the next edge of a burst
+// window, or t+1 inside a ramp or a diurnal swing (those are re-evaluated
+// every cycle). RateAt is constant on [t, FlatUntil(t)), which is what lets
+// the generator sleep through a flat stretch. Offsets at or past the end
+// report t+1.
+func (s *Scenario) FlatUntil(t sim.Cycle) sim.Cycle {
+	if t >= s.Dur() {
+		return t + 1
+	}
+	pi, off := s.PhaseAt(t)
+	p := s.Phases[pi]
+	if p.RateTo != p.RateFrom || (p.Diurnal != nil && p.Diurnal.Period > 0 && p.Diurnal.Swing > 0) {
+		return t + 1
+	}
+	until := t - off + p.Dur
+	if b := p.Burst; b != nil && b.Period > 0 {
+		pos := off % b.Period
+		edge := b.Period - pos // next window opens
+		if pos < b.Dur {
+			edge = b.Dur - pos // this window closes
+		}
+		until = min(until, t+edge)
+	}
+	return until
+}
+
 // triangle is the diurnal wave: 0 -> +swing -> 0 -> -swing -> 0 over one
 // period, evaluated at pos in [0, period).
 func triangle(pos, period sim.Cycle, swing int64) int64 {

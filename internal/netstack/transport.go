@@ -93,7 +93,8 @@ type Transport struct {
 	local   netsim.NodeID
 	send    SendFrame
 	deliver DeliverFunc
-	conns   map[netsim.NodeID]*conn
+	conns   map[netsim.NodeID]*conn // lookup by remote
+	order   []*conn                 // the same conns in creation order, for iteration
 
 	txSegs     *sim.Counter
 	rxSegs     *sim.Counter
@@ -122,6 +123,7 @@ func (t *Transport) conn(remote netsim.NodeID) *conn {
 	if !ok {
 		c = &conn{remote: remote}
 		t.conns[remote] = c
+		t.order = append(t.order, c)
 	}
 	return c
 }
@@ -171,7 +173,7 @@ func encodeSeg(kind byte, seq, ack uint32, data []byte) []byte {
 // pending segmentation and nothing in flight (in-flight segments imply a
 // live retransmission timer, which is timed work).
 func (t *Transport) Idle() bool {
-	for _, c := range t.conns {
+	for _, c := range t.order {
 		if len(c.pending) > 0 || len(c.inflight) > 0 {
 			return false
 		}
@@ -180,9 +182,10 @@ func (t *Transport) Idle() bool {
 }
 
 // Tick pumps pending data into the window and handles retransmission.
-// Call once per cycle (or per polling interval).
+// Call once per cycle (or per polling interval). Connections are visited in
+// creation order, so same-cycle sends leave in a deterministic order.
 func (t *Transport) Tick(now sim.Cycle) {
-	for _, c := range t.conns {
+	for _, c := range t.order {
 		t.pump(c, now)
 		// Go-back-N timeout: resend everything in flight, then double the
 		// timeout for the next expiry.
